@@ -28,7 +28,6 @@ import (
 	"github.com/zhuge-project/zhuge/internal/parallel"
 	"github.com/zhuge-project/zhuge/internal/queue"
 	"github.com/zhuge-project/zhuge/internal/scenario"
-	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
@@ -575,81 +574,46 @@ func timedShardedRun(spd *scenario.ShardedPath, d time.Duration) (critical, seri
 		}
 		critical += max
 	}
-	if spd.Rebalancer != nil {
-		// The rebalancer feeds off the profiler's barrier hook; an
-		// events-only profiler (nil Clock) keeps the migration schedule
-		// deterministic while this executor times the windows outside it.
-		p := spd.NewProfiler()
-		p.AttachRebalancer(spd.Rebalancer)
-		spd.Cluster.RunWith(sim.Time(d), p.Wrap(do))
-		return critical, serial
-	}
 	spd.Cluster.RunWith(sim.Time(d), do)
 	return critical, serial
 }
 
 // BenchmarkShardedRun runs one campus topology partitioned over 1/2/4/8
-// shards under each placement strategy. events/sec is the measured
-// single-core throughput (window protocol overhead included);
-// cp-events/sec divides by the critical path instead — the projected
-// throughput with one core per shard. The weighted variants feed an
-// LPT placement from a full-horizon profiler pre-pass (roams make
-// per-cell event rates nonstationary, so a prefix mis-ranks cells);
-// dynamic adds the barrier-time rebalancer on top at the aggressive
-// config the campus-sharded experiment table uses.
+// shards. events/sec is the measured single-core throughput (window
+// protocol overhead included); cp-events/sec divides by the critical path
+// instead — the projected throughput with one core per shard.
 func BenchmarkShardedRun(b *testing.B) {
 	dur := 2 * time.Second
 	ccfg := scenario.CampusConfig{
 		APs: 16, Stations: 160, Roams: 16,
 		Duration: dur, Solution: scenario.SolutionZhuge,
 	}
-	weights, err := scenario.ProfileWeights(scenario.Campus(1, ccfg), scenario.CampusCutDelay, dur, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rcfg := shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
-	variants := []struct {
-		name      string
-		placement scenario.Placement
-		rebalance bool
-	}{
-		{"roundrobin", nil, false},
-		{"weighted", &scenario.WeightedPlacement{Weights: weights}, false},
-		{"dynamic", &scenario.WeightedPlacement{Weights: weights}, true},
-	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, v := range variants {
-			if shards == 1 && v.name != "roundrobin" {
-				continue
+		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
+			var events uint64
+			var critical, serial time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				spd, err := scenario.BuildSharded(scenario.Campus(1, ccfg), scenario.ShardedOptions{
+					Shards: shards, CutDelay: scenario.CampusCutDelay,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				crit, ser := timedShardedRun(spd, dur)
+				critical += crit
+				serial += ser
+				events += spd.Cluster.Fired()
 			}
-			b.Run(fmt.Sprintf("shards-%d/%s", shards, v.name), func(b *testing.B) {
-				var events uint64
-				var critical, serial time.Duration
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					spd, err := scenario.BuildSharded(scenario.Campus(1, ccfg), scenario.ShardedOptions{
-						Shards: shards, CutDelay: scenario.CampusCutDelay,
-						Placement: v.placement,
-						Rebalance: v.rebalance, RebalanceConfig: rcfg,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					crit, ser := timedShardedRun(spd, dur)
-					critical += crit
-					serial += ser
-					events += spd.Cluster.Fired()
-				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-				if critical > 0 {
-					b.ReportMetric(float64(events)/critical.Seconds(), "cp-events/sec")
-					// serial/critical within the same run: the speedup this
-					// partition achieves with one core per shard, immune to
-					// cross-run baseline noise.
-					b.ReportMetric(serial.Seconds()/critical.Seconds(), "par-speedup")
-				}
-			})
-		}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+			if critical > 0 {
+				b.ReportMetric(float64(events)/critical.Seconds(), "cp-events/sec")
+				// serial/critical within the same run: the speedup this
+				// partition achieves with one core per shard, immune to
+				// cross-run baseline noise.
+				b.ReportMetric(serial.Seconds()/critical.Seconds(), "par-speedup")
+			}
+		})
 	}
 }

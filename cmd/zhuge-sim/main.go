@@ -58,9 +58,6 @@ func main() {
 		handoverPol = flag.String("handover-policy", "migrate", "per-flow Zhuge state across a roam: migrate|reset")
 		campus      = flag.Int("campus", 0, "run the sharded campus workload with this many APs (10 stations each); prints the determinism fingerprint; uses -shards, -j, -dur, -seed")
 		shards      = flag.Int("shards", 1, "with -campus: partition the topology over this many shard simulators")
-		placement   = flag.String("placement", "roundrobin", "with -campus: cell-to-shard placement: roundrobin|weighted (weighted packs by profiled load: -profile-in, or an in-process pre-pass)")
-		profileIn   = flag.String("profile-in", "", "with -placement weighted: read per-cell weights from this load-profile JSON instead of running a pre-pass")
-		rebalance   = flag.Bool("rebalance", false, "with -campus: migrate cells between shards at barriers when load imbalance persists (outputs stay byte-identical)")
 		expID       = flag.String("exp", "", "run an experiment table by ID instead ('handover' = ext-handover); uses -seed, -scale, -j")
 		scale       = flag.Float64("scale", 1.0, "with -exp: duration scale factor")
 		workers     = flag.Int("j", runtime.NumCPU(), "with -exp: worker count for parallel cells")
@@ -90,7 +87,6 @@ func main() {
 	if *campus > 0 {
 		runCampus(campusRun{
 			aps: *campus, shards: *shards, workers: *workers, seed: *seed, dur: *dur,
-			placement: *placement, profileIn: *profileIn, rebalance: *rebalance,
 			profileOut: *profileOut, seriesOut: *seriesOut, statsAddr: *statsAddr,
 		})
 		return
@@ -223,8 +219,6 @@ type campusRun struct {
 	aps, shards, workers             int
 	seed                             int64
 	dur                              time.Duration
-	placement, profileIn             string
-	rebalance                        bool
 	profileOut, seriesOut, statsAddr string
 }
 
@@ -233,32 +227,15 @@ type campusRun struct {
 // stdout. The fingerprint covers every flow's RTT distribution, frame
 // counts, delivered bytes and the cluster's event total, so CI proves the
 // shard-count-invariance contract by diffing the stdout of two invocations
-// (`-shards 1` vs `-shards 8 -placement weighted -rebalance`) byte for
-// byte; the human-facing summary goes to stderr to keep stdout diff-clean.
+// (`-shards 1` vs `-shards 8`) byte for byte; the human-facing summary
+// goes to stderr to keep stdout diff-clean.
 func runCampus(r campusRun) {
 	aps, shards, workers, seed, dur := r.aps, r.shards, r.workers, r.seed, r.dur
 	cfg := scenario.CampusConfig{
 		APs: aps, Stations: 10 * aps, Roams: aps,
 		Duration: dur, Solution: scenario.SolutionZhuge,
 	}
-	opt := scenario.ShardedOptions{
-		Shards:    shards,
-		CutDelay:  scenario.CampusCutDelay,
-		Rebalance: r.rebalance,
-	}
-	switch r.placement {
-	case "", "roundrobin":
-	case "weighted":
-		weights, err := campusWeights(r, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
-			os.Exit(2)
-		}
-		opt.Placement = scenario.WeightedPlacement{Weights: weights}
-	default:
-		fmt.Fprintf(os.Stderr, "zhuge-sim: bad -placement %q (want roundrobin|weighted)\n", r.placement)
-		os.Exit(2)
-	}
+	opt := scenario.ShardedOptions{Shards: shards, CutDelay: scenario.CampusCutDelay}
 	spd, err := scenario.BuildSharded(scenario.Campus(seed, cfg), opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
@@ -275,61 +252,21 @@ func runCampus(r campusRun) {
 	start := time.Now()
 	if pf != nil {
 		pf.start = start
-		spd.RunProfiled(dur, workers, pf.p)
+		spd.Cluster.RunProfiled(dur, workers, pf.p)
 	} else {
 		spd.Run(dur, workers)
 	}
 	wall := time.Since(start)
-	fmt.Fprintf(os.Stderr, "campus aps=%d stations=%d shards=%d placement=%s workers=%d dur=%v seed=%d\n",
-		aps, 10*aps, len(spd.Cluster.Shards()), spd.Placement, workers, dur, seed)
+	fmt.Fprintf(os.Stderr, "campus aps=%d stations=%d shards=%d workers=%d dur=%v seed=%d\n",
+		aps, 10*aps, len(spd.Cluster.Shards()), workers, dur, seed)
 	look, _ := spd.Cluster.Lookahead()
 	fmt.Fprintf(os.Stderr, "events=%d windows=%d lookahead=%v wall=%v (%.0f events/sec)\n",
 		spd.Cluster.Fired(), spd.Cluster.Windows(), look,
 		wall.Round(time.Millisecond), float64(spd.Cluster.Fired())/wall.Seconds())
-	if rb := spd.Rebalancer; rb != nil {
-		fmt.Fprintf(os.Stderr, "rebalancer: %d migrations\n", rb.Migrations())
-		for _, m := range rb.Moves() {
-			fmt.Fprintf(os.Stderr, "  window %d t=%v: %s %s -> %s\n", m.Window, m.At, m.Cell, m.From, m.To)
-		}
-	}
 	if pf != nil {
 		pf.finish(fmt.Sprintf("campus-%dap", aps), r.profileOut, r.seriesOut)
 	}
 	fmt.Print(spd.Fingerprint())
-}
-
-// campusWeights resolves the weighted placement's per-cell weights: from
-// the -profile-in JSON when given, else from an in-process events-only
-// pre-pass over the full requested horizon. The full horizon matters:
-// stations roam between cells, so per-cell event rates are nonstationary
-// and weights from a short prefix pile late-heavy cells onto one shard,
-// placing worse than round-robin. The pre-pass costs about one serial run;
-// commit its output with -profile-out and reuse it via -profile-in to skip
-// that cost on later runs.
-func campusWeights(r campusRun, cfg scenario.CampusConfig) (map[string]uint64, error) {
-	if r.profileIn != "" {
-		f, err := os.Open(r.profileIn)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		lp, err := scenario.ReadLoadProfile(f)
-		if err != nil {
-			return nil, fmt.Errorf("profile-in %s: %v", r.profileIn, err)
-		}
-		fmt.Fprintf(os.Stderr, "placement weights from %s (%s, %d cells, heaviest/lightest %.2f)\n",
-			r.profileIn, lp.Workload, len(lp.Cells), lp.MaxMinEventRatio)
-		return lp.Weights(), nil
-	}
-	pre := r.dur
-	t0 := time.Now()
-	w, err := scenario.ProfileWeights(scenario.Campus(r.seed, cfg), scenario.CampusCutDelay, pre, r.workers)
-	if err != nil {
-		return nil, fmt.Errorf("placement pre-pass: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "placement weights from %v pre-pass over %d cells (wall %v)\n",
-		pre, len(w), time.Since(t0).Round(time.Millisecond))
-	return w, nil
 }
 
 // shardProfile bundles the campus run's load profiler with its optional

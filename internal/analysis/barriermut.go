@@ -32,9 +32,9 @@ import (
 //     qualifies; a single-shard cell wrapper does not);
 //  2. direct field writes through a spanning-typed value;
 //  3. calls to the cluster control plane from in-window code:
-//     (*shard.Cluster).At / Run / RunWith / AddShard / AddCell / Connect /
-//     Migrate and (*shard.Cell).Sim — wiring, barrier registration and
-//     cell migration are build-time or barrier-time operations, and
+//     (*shard.Cluster).At / Run / RunWith / RunProfiled / AddShard /
+//     AddCell / Connect and (*shard.Cell).Sim — wiring, barrier
+//     registration and runs are build-time or top-level operations, and
 //     grabbing another cell's simulator mid-window is exactly the
 //     cross-shard mutation hatch this analyzer exists to close.
 //
@@ -52,7 +52,7 @@ var BarrierMut = &Analyzer{
 // build-time or barrier-executor operations.
 var clusterControlMethods = map[string]bool{
 	"At": true, "Run": true, "RunWith": true, "RunProfiled": true,
-	"AddShard": true, "AddCell": true, "Connect": true, "Migrate": true,
+	"AddShard": true, "AddCell": true, "Connect": true,
 }
 
 func runBarrierMut(pass *Pass) error {

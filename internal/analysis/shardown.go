@@ -35,15 +35,6 @@ import (
 //     later and are correctly exempt.
 //  3. (everywhere) (*Edge).Send must not appear inside a go statement:
 //     a spawned goroutine is never the owning shard's executor.
-//  4. (everywhere, interprocedural) (*Cluster).Migrate must be reachable
-//     only from barrier context: migration transfers the ownership of a
-//     cell's event heap AND the producer side of its edge rings in one
-//     pointer move, which is safe exactly while every shard executor is
-//     parked at a barrier. A Migrate reachable from in-window code (a
-//     scheduled callback, a Receive handler) re-homes rings a live
-//     executor is producing into; a Migrate inside a go statement has no
-//     happens-before edge with anyone. Cluster.Migrate's executor counter
-//     backstops this at runtime; the analyzer catches it at review time.
 //
 // Ownership *identity* — that in-window code on shard A only sends on
 // edges whose source is A — is dynamic (edges are wired at Connect time)
@@ -52,8 +43,7 @@ import (
 var ShardOwn = &Analyzer{
 	Name: "shardown",
 	Doc: "enforce SPSC edge-ring ownership: ring.push only via (*Edge).Send, " +
-		"drains only on the barrier executor, no Edge.Send from barrier actions or goroutines, " +
-		"no Cluster.Migrate from in-window code or goroutines",
+		"drains only on the barrier executor, no Edge.Send from barrier actions or goroutines",
 	Run: runShardOwn,
 }
 
@@ -62,10 +52,8 @@ func runShardOwn(pass *Pass) error {
 		checkRingConfinement(pass)
 	}
 	checkSendFromGoroutines(pass)
-	checkMigrateFromGoroutines(pass)
 	if pass.Prog != nil {
 		checkSendFromBarrier(pass)
-		checkMigrateFromWindow(pass)
 	}
 	return nil
 }
@@ -127,11 +115,6 @@ func isEdgeSend(info *types.Info, call *ast.CallExpr) bool {
 	return fn != nil && fn.Name() == "Send" && funcIsMethodOn(fn, "shard", "Edge")
 }
 
-func isClusterMigrate(info *types.Info, call *ast.CallExpr) bool {
-	fn := StaticCallee(info, call)
-	return fn != nil && fn.Name() == "Migrate" && funcIsMethodOn(fn, "shard", "Cluster")
-}
-
 // checkSendFromGoroutines applies rule 3: any Edge.Send lexically under a
 // go statement (including inside the spawned literal) is a producer that
 // is not the owning shard's executor.
@@ -150,66 +133,6 @@ func checkSendFromGoroutines(pass *Pass) {
 				return true
 			})
 			return false
-		})
-	}
-}
-
-// checkMigrateFromGoroutines applies the goroutine half of rule 4: a
-// spawned goroutine holds no barrier, so a Migrate there transfers ring and
-// heap ownership with no happens-before edge to the executors involved.
-func checkMigrateFromGoroutines(pass *Pass) {
-	if pass.Pkg.Name() == "shard" {
-		return // the implementation's own tests exercise the runtime guard
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			ast.Inspect(g, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok && isClusterMigrate(pass.TypesInfo, call) {
-					pass.Reportf(call.Pos(),
-						"Cluster.Migrate from a spawned goroutine: migration re-homes a cell's event heap and edge rings and is only safe on the barrier executor, where every shard is provably parked")
-				}
-				return true
-			})
-			return false
-		})
-	}
-}
-
-// checkMigrateFromWindow applies the interprocedural half of rule 4: flag
-// Migrate calls in any function the Program proves reachable from in-window
-// context — scheduled callbacks, datapath Receive handlers, and everything
-// they transitively call. Barrier actions (Cluster.At callbacks) are the
-// legal home and are not in the window closure.
-func checkMigrateFromWindow(pass *Pass) {
-	if pass.Pkg.Name() == "shard" {
-		return
-	}
-	win := pass.Prog.WindowReachable()
-	check := func(node *FuncNode) {
-		if node == nil || !win[node] {
-			return
-		}
-		inspectOwn(node, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok && isClusterMigrate(pass.TypesInfo, call) {
-				pass.Reportf(call.Pos(),
-					"Cluster.Migrate reachable from in-window code: migration transfers cell and ring ownership and must run at a barrier (a Cluster.At action or the profiler's window hook), never while shard executors are advancing")
-			}
-			return true
-		})
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch d := n.(type) {
-			case *ast.FuncDecl:
-				check(pass.Prog.DeclNode(d))
-			case *ast.FuncLit:
-				check(pass.Prog.LitNode(d))
-			}
-			return true
 		})
 	}
 }

@@ -25,9 +25,9 @@ type Path struct {
 	Epoch   int
 }
 
-// Rebalance is itself window-reachable via badWindowMutation's scheduled
+// Reconfigure is itself window-reachable via badWindowMutation's scheduled
 // call below, so its body write is flagged in addition to the call site.
-func (p *Path) Rebalance() { p.Epoch++ } // want `write to a field of Path from in-window code`
+func (p *Path) Reconfigure() { p.Epoch++ } // want `write to a field of Path from in-window code`
 
 // buildCluster wires everything before the cluster runs: build-time code
 // is not in-window, so none of this is flagged.
@@ -45,12 +45,11 @@ func buildCluster(ss []*sim.Simulator) *Path {
 }
 
 // scheduleHandover is the legal mutation path: barrier actions run between
-// windows, when no shard is advancing. Cell migration lives here too.
-func scheduleHandover(p *Path, at sim.Time, to *shard.Shard) {
+// windows, when no shard is advancing.
+func scheduleHandover(p *Path, at sim.Time) {
 	p.Cluster.At(at, func() {
-		p.Rebalance()
+		p.Reconfigure()
 		p.Epoch++
-		p.Cluster.Migrate(p.Cells[0].Cell, to)
 	})
 }
 
@@ -58,7 +57,7 @@ func scheduleHandover(p *Path, at sim.Time, to *shard.Shard) {
 // callback.
 func badWindowMutation(s *sim.Simulator, p *Path) {
 	s.Schedule(0, func() {
-		p.Rebalance() // want `call to \(Path\)\.Rebalance from in-window code`
+		p.Reconfigure() // want `call to \(Path\)\.Reconfigure from in-window code`
 	})
 }
 
@@ -85,14 +84,6 @@ func badWindowViaHelper(s *sim.Simulator, p *Path) {
 func badWindowClusterAt(s *sim.Simulator, c *shard.Cluster) {
 	s.Schedule(0, func() {
 		c.At(0, func() {}) // want `\(\*shard\.Cluster\)\.At from in-window code`
-	})
-}
-
-// badWindowMigrate re-homes a cell mid-window: migration is a barrier-only
-// control-plane operation (it moves ring and heap ownership).
-func badWindowMigrate(s *sim.Simulator, c *shard.Cluster, cl *shard.Cell, to *shard.Shard) {
-	s.Schedule(0, func() {
-		c.Migrate(cl, to) // want `\(\*shard\.Cluster\)\.Migrate from in-window code`
 	})
 }
 

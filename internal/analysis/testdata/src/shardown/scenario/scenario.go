@@ -1,16 +1,13 @@
 // Package scenario is the interprocedural half of the shardown fixture:
-// it imports the real shard and sim packages and exercises rule 2 —
+// it imports the real shard package and exercises rule 2 —
 // (*shard.Edge).Send must not be reachable from barrier context
 // (Cluster.At callbacks), directly or laundered through helpers, while
-// in-window code the barrier merely *schedules* stays legal — and rule 4,
-// the mirror image: (*shard.Cluster).Migrate belongs to barrier context
-// and must not be reachable from in-window code or goroutines.
+// in-window code the barrier merely *schedules* stays legal.
 package scenario
 
 import (
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/shard"
-	"github.com/zhuge-project/zhuge/internal/sim"
 )
 
 // wireBadHandover sends directly from the barrier action.
@@ -48,40 +45,4 @@ func wireSuppressed(c *shard.Cluster, e *shard.Edge, dst netem.Receiver) {
 		//lint:ignore shardown fixture exercises suppressing the barrier-context report
 		e.Send(netem.NewPacket(), dst)
 	})
-}
-
-// migrateFromBarrier is migration's legal home: the barrier action runs
-// while every shard executor is parked, so re-homing the cell's event heap
-// and edge rings is a plain pointer move.
-func migrateFromBarrier(c *shard.Cluster, cl *shard.Cell, to *shard.Shard) {
-	c.At(0, func() {
-		c.Migrate(cl, to)
-	})
-}
-
-// migrateFromWindow re-homes a cell from a scheduled (in-window) callback:
-// the rings it transfers have a live producer mid-window.
-func migrateFromWindow(s *sim.Simulator, c *shard.Cluster, cl *shard.Cell, to *shard.Shard) {
-	s.Schedule(0, func() {
-		c.Migrate(cl, to) // want `Cluster\.Migrate reachable from in-window code`
-	})
-}
-
-// rehome launders the migration one call deep; window reachability closes
-// over resolved calls.
-func rehome(c *shard.Cluster, cl *shard.Cell, to *shard.Shard) {
-	c.Migrate(cl, to) // want `Cluster\.Migrate reachable from in-window code`
-}
-
-func migrateViaHelper(s *sim.Simulator, c *shard.Cluster, cl *shard.Cell, to *shard.Shard) {
-	s.Schedule(0, func() {
-		rehome(c, cl, to)
-	})
-}
-
-// migrateFromGoroutine has no happens-before edge with any executor.
-func migrateFromGoroutine(c *shard.Cluster, cl *shard.Cell, to *shard.Shard) {
-	go func() {
-		c.Migrate(cl, to) // want `Cluster\.Migrate from a spawned goroutine`
-	}()
 }

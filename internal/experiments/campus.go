@@ -7,20 +7,16 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/scenario"
-	"github.com/zhuge-project/zhuge/internal/shard"
 )
 
 // CampusSharded runs the flagship campus workload — many APs, each serving
 // a block of RTP video stations, with roamers crossing cell boundaries —
-// once per (shard count, placement) combination, and tabulates per-run
-// aggregates. One topology is partitioned over 1, 2 and 4 shard simulators
-// synchronized through the conservative window protocol, first with the
-// contiguous count-balanced split, then with profile-guided LPT packing
-// (weights from a deterministic events-only pre-pass) and the dynamic
-// barrier-time rebalancer; every metric column (and the fingerprint over
-// all per-flow outputs) must be byte-identical across ALL rows. The golden
-// fingerprint pins that contract: any grouping or migration leak shows up
-// as rows that no longer match each other.
+// once per shard count, and tabulates per-run aggregates. One topology is
+// partitioned over 1, 2 and 4 shard simulators synchronized through the
+// conservative window protocol; every metric column (and the fingerprint
+// over all per-flow outputs) must be byte-identical across all rows. The
+// golden fingerprint pins that contract: any grouping leak shows up as
+// rows that no longer match each other.
 //
 // Scale shrinks the topology with the duration (4 APs / 40 stations at the
 // golden Scale 0.02; 100 APs / 1000 stations at full scale), keeping the
@@ -43,8 +39,8 @@ func CampusSharded(cfg Config) *Table {
 
 	t := &Table{
 		ID:    "campus-sharded",
-		Title: fmt.Sprintf("Campus workload (%d APs, %d stations): shard-count and placement invariance", aps, 10*aps),
-		Header: []string{"shards", "placement", "cells", "windows", "events",
+		Title: fmt.Sprintf("Campus workload (%d APs, %d stations): shard-count invariance", aps, 10*aps),
+		Header: []string{"shards", "cells", "windows", "events",
 			"decoded", "skipped", "delivered(MB)", "fingerprint"},
 	}
 
@@ -52,77 +48,43 @@ func CampusSharded(cfg Config) *Table {
 	if cfg.Shards > 0 {
 		counts = []int{cfg.Shards}
 	}
-	// Exact per-cell weights for the LPT rows, from an events-only pre-pass
-	// over the full horizon (roams make per-cell rates nonstationary, so a
-	// prefix mis-ranks cells): a pure function of (Seed, Scale), so the
-	// placement — and with it every golden row — is deterministic.
-	weights, err := scenario.ProfileWeights(scenario.Campus(cfg.Seed, ccfg), scenario.CampusCutDelay, dur, cfg.Workers)
-	if err != nil {
-		panic(fmt.Sprintf("campus-sharded: pre-pass: %v", err))
-	}
-	// Aggressive hysteresis so the dynamic rows actually migrate within the
-	// golden-scale horizon; the defaults are tuned for long runs.
-	rcfg := shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
-
-	type variant struct {
-		placement scenario.Placement
-		rebalance bool
-	}
-	variants := []variant{
-		{nil, false},
-		{scenario.WeightedPlacement{Weights: weights}, false},
-		{scenario.WeightedPlacement{Weights: weights}, true},
-	}
 	for _, shards := range counts {
-		for _, v := range variants {
-			if shards == 1 && (v.placement != nil || v.rebalance) {
-				continue // one shard: every placement is the same placement
-			}
-			spd, err := scenario.BuildSharded(scenario.Campus(cfg.Seed, ccfg), scenario.ShardedOptions{
-				Shards:          shards,
-				Placement:       v.placement,
-				CutDelay:        scenario.CampusCutDelay,
-				Rebalance:       v.rebalance,
-				RebalanceConfig: rcfg,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("campus-sharded: %v", err))
-			}
-			workers := cfg.Workers
-			if workers == 0 {
-				workers = shards
-			}
-			spd.Run(dur, workers)
-
-			var decoded, skipped int
-			var delivered float64
-			for _, c := range spd.Cells {
-				for _, bf := range c.Path.Flows {
-					if bf.RTP == nil {
-						continue
-					}
-					decoded += bf.RTP.Decoder.Decoded
-					skipped += bf.RTP.Decoder.Skipped
-					delivered += bf.RTP.Metrics.DeliveredBytes
-				}
-			}
-			label := spd.Placement
-			if spd.Rebalancer != nil {
-				label = fmt.Sprintf("%s+dynamic(%d)", spd.Placement, spd.Rebalancer.Migrations())
-			}
-			sum := sha256.Sum256([]byte(spd.Fingerprint()))
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", shards),
-				label,
-				fmt.Sprintf("%d", len(spd.Cells)),
-				fmt.Sprintf("%d", spd.Cluster.Windows()),
-				fmt.Sprintf("%d", spd.Cluster.Fired()),
-				fmt.Sprintf("%d", decoded),
-				fmt.Sprintf("%d", skipped),
-				fmt.Sprintf("%.2f", delivered/1e6),
-				hex.EncodeToString(sum[:])[:12],
-			})
+		spd, err := scenario.BuildSharded(scenario.Campus(cfg.Seed, ccfg), scenario.ShardedOptions{
+			Shards:   shards,
+			CutDelay: scenario.CampusCutDelay,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("campus-sharded: %v", err))
 		}
+		workers := cfg.Workers
+		if workers == 0 {
+			workers = shards
+		}
+		spd.Run(dur, workers)
+
+		var decoded, skipped int
+		var delivered float64
+		for _, c := range spd.Cells {
+			for _, bf := range c.Path.Flows {
+				if bf.RTP == nil {
+					continue
+				}
+				decoded += bf.RTP.Decoder.Decoded
+				skipped += bf.RTP.Decoder.Skipped
+				delivered += bf.RTP.Metrics.DeliveredBytes
+			}
+		}
+		sum := sha256.Sum256([]byte(spd.Fingerprint()))
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", shards),
+			fmt.Sprintf("%d", len(spd.Cells)),
+			fmt.Sprintf("%d", spd.Cluster.Windows()),
+			fmt.Sprintf("%d", spd.Cluster.Fired()),
+			fmt.Sprintf("%d", decoded),
+			fmt.Sprintf("%d", skipped),
+			fmt.Sprintf("%.2f", delivered/1e6),
+			hex.EncodeToString(sum[:])[:12],
+		})
 	}
 	return t
 }

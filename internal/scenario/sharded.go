@@ -12,76 +12,14 @@ import (
 	"github.com/zhuge-project/zhuge/internal/topo"
 )
 
-// Placement decides which shard each cell of a sharded build lands on.
-// Implementations must be pure functions of their inputs (plus any weights
-// they were constructed with): the byte-identity gate rebuilds topologies
-// expecting identical decompositions, and CI diffs runs across placements.
-// Placement only affects wall-clock speed, never outputs — see the package
-// shard doc for the invisibility argument.
-type Placement interface {
-	// Name identifies the strategy in tables and CLI flags.
-	Name() string
-	// Assign maps cell i (named cells[i]) to a shard in [0, k); k arrives
-	// pre-clamped to [1, len(cells)]. Every shard index up to the maximum
-	// returned must be used (the builder materialises max+1 shards).
-	Assign(cells []string, k int) []int
-}
-
-// PlacementRoundRobin is the historical default: topo.Partition's
-// count-balanced contiguous split. Neighbouring APs — the likeliest
-// handover partners — share a shard, minimising cut traffic, but per-cell
-// load skew lands unmitigated on whichever shard drew the busy block.
-type PlacementRoundRobin struct{}
-
-// Name implements Placement.
-func (PlacementRoundRobin) Name() string { return "roundrobin" }
-
-// Assign implements Placement.
-func (PlacementRoundRobin) Assign(cells []string, k int) []int {
-	return topo.Partition(len(cells), k)
-}
-
-// WeightedPlacement packs cells onto shards by measured load with
-// topo.PartitionLPT: heaviest cell first, each onto the lightest shard.
-// Weights come from a profiling pre-pass (ProfileWeights) or a committed
-// LoadProfile (Weights()); cells missing from the map weigh 1, so a stale
-// profile degrades toward count-balancing instead of failing.
-type WeightedPlacement struct {
-	Weights map[string]uint64
-}
-
-// Name implements Placement.
-func (WeightedPlacement) Name() string { return "weighted" }
-
-// Assign implements Placement.
-func (wp WeightedPlacement) Assign(cells []string, k int) []int {
-	w := make([]uint64, len(cells))
-	for i, name := range cells {
-		w[i] = wp.Weights[name]
-	}
-	return topo.PartitionLPT(w, cells, k)
-}
-
 // ShardedOptions configures BuildSharded.
 type ShardedOptions struct {
 	// Shards is the number of parallel event heaps the topology's cells
-	// are grouped onto; <= 0 (or more than there are cells) means one
-	// shard per cell. The grouping only affects wall-clock speed: outputs
-	// are byte-identical for every value.
+	// are grouped onto, as topo.Partition's contiguous count-balanced
+	// split; <= 0 (or more than there are cells) means one shard per
+	// cell. The grouping only affects wall-clock speed: outputs are
+	// byte-identical for every value.
 	Shards int
-
-	// Placement picks the cell-to-shard grouping; nil means
-	// PlacementRoundRobin, the count-balanced contiguous split.
-	Placement Placement
-
-	// Rebalance enables the dynamic rebalancer: per-window cell loads are
-	// watched during the run and whole cells migrate between shards at
-	// barriers when the imbalance exceeds RebalanceConfig's hysteresis.
-	// Like Placement it can only change wall-clock speed, never outputs.
-	Rebalance bool
-
-	// RebalanceConfig tunes the rebalancer; the zero value means defaults.
-	RebalanceConfig shard.RebalanceConfig
 
 	// CutDelay is the one-way backhaul delay of every inter-cell edge —
 	// the trombone path a roamed station's traffic crosses, and the
@@ -101,7 +39,7 @@ type ShardedOptions struct {
 // ShardedCell is one cell of a sharded build: a complete single-AP Path —
 // its AP, the stations homed there, their flows and server endpoints —
 // assembled on its own cell-local simulator and registered with the
-// cluster as a migratable shard.Cell.
+// cluster as a shard.Cell.
 type ShardedCell struct {
 	Index int
 	Label string
@@ -109,9 +47,7 @@ type ShardedCell struct {
 	Cell  *shard.Cell
 }
 
-// Shard returns the shard the cell currently resides on. Under the dynamic
-// rebalancer residency can change at barriers; the value is only stable
-// read from barrier context or after the run.
+// Shard returns the shard the cell resides on.
 func (c *ShardedCell) Shard() *shard.Shard { return c.Cell.Shard() }
 
 // ShardedPath is a Spec decomposed into per-AP cells running under a
@@ -131,13 +67,6 @@ type ShardedPath struct {
 	Opts    ShardedOptions
 	Cluster *shard.Cluster
 	Cells   []*ShardedCell
-
-	// Placement names the strategy that produced the grouping.
-	Placement string
-
-	// Rebalancer is non-nil when Opts.Rebalance was set; after a run its
-	// Moves() record the cell migrations executed.
-	Rebalancer *shard.Rebalancer
 
 	byAP  map[string]*ShardedCell
 	edges map[[2]int]*shard.Edge  // (from cell, to cell) -> cut edge
@@ -217,42 +146,19 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 	// invisible in every per-cell output.
 	k := opt.Shards
 	if k <= 0 {
-		// One shard per cell, as documented — the shape the load-profiling
-		// pre-pass needs for exact per-cell weights. (The partitioners
-		// would otherwise clamp k < 1 to a single shard.)
+		// One shard per cell, as documented — the shape that gives a load
+		// profile exact per-cell compute. (Partition would otherwise clamp
+		// k < 1 to a single shard.)
 		k = n
 	}
-	if k > n {
-		k = n
-	}
-	pl := opt.Placement
-	if pl == nil {
-		pl = PlacementRoundRobin{}
-	}
-	cellNames := make([]string, n)
-	for i := range sp.APs {
-		cellNames[i] = sp.APs[i].Name
-	}
-	assign := pl.Assign(cellNames, k)
-	if len(assign) != n {
-		panic(fmt.Sprintf("scenario: placement %q assigned %d of %d cells", pl.Name(), len(assign), n))
-	}
-	shardCount := 0
-	for i, g := range assign {
-		if g < 0 || g >= k {
-			panic(fmt.Sprintf("scenario: placement %q put cell %d on shard %d (k=%d)", pl.Name(), i, g, k))
-		}
-		if g+1 > shardCount {
-			shardCount = g + 1
-		}
-	}
+	assign := topo.Partition(n, k)
 	cluster := shard.NewCluster()
-	shards := make([]*shard.Shard, shardCount)
+	shards := make([]*shard.Shard, assign[n-1]+1)
 	for gi := range shards {
 		shards[gi] = cluster.AddShard(fmt.Sprintf("shard%d", gi))
 	}
 	spd := &ShardedPath{
-		Spec: sp, Opts: opt, Cluster: cluster, Placement: pl.Name(),
+		Spec: sp, Opts: opt, Cluster: cluster,
 		byAP:  make(map[string]*ShardedCell, n),
 		edges: make(map[[2]int]*shard.Edge),
 		home:  make(map[string]*ShardedCell),
@@ -279,9 +185,6 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 		}
 		spd.Cells = append(spd.Cells, cell)
 		spd.byAP[sp.APs[i].Name] = cell
-	}
-	if opt.Rebalance {
-		spd.Rebalancer = shard.NewRebalancer(cluster, opt.RebalanceConfig)
 	}
 	for sta, ci := range cellOfSta {
 		spd.home[sta] = spd.Cells[ci]
@@ -350,16 +253,8 @@ func (spd *ShardedPath) Cell(ap string) *ShardedCell {
 
 // Run advances the whole topology to virtual time d on a pool of workers.
 // workers <= 1 is the sequential reference; any value produces the same
-// outputs. When the build enabled the dynamic rebalancer, Run drives it
-// from an internal events-only profiler — fully deterministic, so the
-// byte-identity contract extends to rebalanced runs.
+// outputs.
 func (spd *ShardedPath) Run(d time.Duration, workers int) {
-	if spd.Rebalancer != nil {
-		p := spd.NewProfiler()
-		p.AttachRebalancer(spd.Rebalancer)
-		spd.Cluster.RunProfiled(d, workers, p)
-		return
-	}
 	spd.Cluster.Run(d, workers)
 }
 

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/netem"
@@ -11,16 +10,14 @@ import (
 	"github.com/zhuge-project/zhuge/internal/sim"
 )
 
-// Cell is the unit of decomposition and of migration: a self-contained
-// subgraph advancing on its own sim.Simulator, resident on exactly one
-// shard at a time. Because every cell owns its own event heap, moving a
-// cell between shards is a pointer move at a barrier — no event surgery,
-// no state copy — and the cell's event stream (and therefore its output)
-// is byte-identical wherever it runs.
+// Cell is the unit of decomposition: a self-contained subgraph advancing
+// on its own sim.Simulator, resident on exactly one shard. Because every
+// cell owns its own event heap, the cell's event stream (and therefore its
+// output) is byte-identical whichever shard runs it.
 type Cell struct {
 	name string
 	s    *sim.Simulator
-	sh   *Shard // current residence; changes only between windows
+	sh   *Shard // residence, fixed at AddCell
 }
 
 // Name returns the cell's unique name within its cluster.
@@ -30,14 +27,13 @@ func (cl *Cell) Name() string { return cl.name }
 // do not call Run/RunUntil yourself — the cluster owns the clock.
 func (cl *Cell) Sim() *sim.Simulator { return cl.s }
 
-// Shard returns the shard the cell currently resides on.
+// Shard returns the shard the cell resides on.
 func (cl *Cell) Shard() *Shard { return cl.sh }
 
 // Shard is one parallel unit: a worker slot that advances the simulators
 // of its resident cells under the cluster's window protocol. Residency is
 // a scheduling choice — it decides which core runs a cell's events, never
-// what those events do — so cells may migrate between shards at barriers
-// without touching outputs.
+// what those events do.
 type Shard struct {
 	name  string
 	idx   int // registration index; loads and executors key off it
@@ -47,16 +43,15 @@ type Shard struct {
 // Name returns the shard's unique name within its cluster.
 func (sh *Shard) Name() string { return sh.name }
 
-// Cells returns the cells currently resident on the shard, in arrival
-// order (read-only).
+// Cells returns the cells resident on the shard, in registration order
+// (read-only).
 func (sh *Shard) Cells() []*Cell { return sh.cells }
 
 // Edge is a directed cut link between two cells with a fixed positive
 // delay — the lookahead that licenses parallel windows. All sends on one
 // edge must originate from its source cell (one deterministic event
 // stream), so the inbox FIFO order is a function of that cell alone and
-// both shard count and cell placement stay invisible. Edges bind cells,
-// not shards: when a cell migrates, its edges follow it implicitly.
+// the shard count stays invisible. Edges bind cells, not shards.
 type Edge struct {
 	name  string
 	delay sim.Time
@@ -102,13 +97,6 @@ type Cluster struct {
 	actions []action
 	nextAct int
 	windows uint64
-
-	// active counts shard executors currently inside a window. Migrate
-	// asserts it is zero: ownership transfer is legal only at barriers,
-	// when no shard goroutine is running. (The shardown/barriermut
-	// analyzers prove the same property statically; this is the runtime
-	// backstop.)
-	active atomic.Int32
 }
 
 // NewCluster returns an empty cluster.
@@ -133,9 +121,9 @@ func (c *Cluster) AddShard(name string) *Shard {
 }
 
 // AddCell registers a cell: a simulator that will advance under the
-// cluster's window protocol, initially resident on shard on. Cells are
-// ordered by registration; that order — never residency — is what
-// deterministic consumers (the profiler, the load profile) key off.
+// cluster's window protocol, resident on shard on. Cells are ordered by
+// registration; that order — never residency — is what deterministic
+// consumers (the profiler, the load profile) key off.
 func (c *Cluster) AddCell(name string, s *sim.Simulator, on *Shard) *Cell {
 	if c.cellSet[name] {
 		panic(fmt.Sprintf("shard: duplicate cell %q", name))
@@ -180,33 +168,6 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 	return e, nil
 }
 
-// Migrate moves a cell to another shard. It is legal only at a barrier —
-// between windows, when no shard executor is running — because it
-// transfers two ownerships at once: the cell's event heap (executed by the
-// destination shard's worker from the next window on) and the producer
-// side of every edge rooted at the cell (the SPSC inbox rings' producer is
-// "whichever worker runs the owning shard's window", so re-homing the cell
-// re-homes the rings with it). Inside the barrier both sides are parked:
-// the transfer is a pointer move and outputs cannot observe it — residency
-// only decides which core runs the cell's (unchanged) event stream.
-func (c *Cluster) Migrate(cell *Cell, to *Shard) {
-	if c.active.Load() != 0 {
-		panic(fmt.Sprintf("shard: Migrate(%q) while a window is executing: cell migration is barrier-only", cell.name))
-	}
-	from := cell.sh
-	if from == to {
-		return
-	}
-	for i, x := range from.cells {
-		if x == cell {
-			from.cells = append(from.cells[:i], from.cells[i+1:]...)
-			break
-		}
-	}
-	to.cells = append(to.cells, cell)
-	cell.sh = to
-}
-
 // Lookahead returns the cluster's window bound: the minimum edge delay,
 // or false when there are no edges (windows are then bounded only by
 // barrier actions and the horizon).
@@ -217,8 +178,8 @@ func (c *Cluster) Lookahead() (time.Duration, bool) {
 // At registers a barrier action at virtual time t. Actions run
 // single-threaded between windows, in (time, registration) order, before
 // any shard executes events at t; unlike ordinary events they may touch
-// state across shards (a cross-shard handover migrates flow state here,
-// and Migrate re-homes whole cells here). Register actions before Run.
+// state across shards (a cross-shard handover migrates flow state here).
+// Register actions before Run.
 func (c *Cluster) At(t sim.Time, fn func()) {
 	c.actions = append(c.actions, action{at: t, seq: len(c.actions), fn: fn})
 }
@@ -283,11 +244,9 @@ func (c *Cluster) RunWith(end sim.Time, do func(n int, fn func(i int))) {
 }
 
 // runShard advances every cell resident on shard i to the window bound.
-// The residency list is stable for the whole window (Migrate is barrier-
-// only), so iterating it from the worker goroutine is race-free.
+// Residency is fixed at build time, so iterating it from the worker
+// goroutine is race-free.
 func (c *Cluster) runShard(i int, w sim.Time, inclusive bool) {
-	c.active.Add(1)
-	defer c.active.Add(-1)
 	for _, cl := range c.shards[i].cells {
 		if inclusive {
 			cl.s.RunUntil(w)

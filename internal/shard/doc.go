@@ -7,9 +7,8 @@
 // clock) and shares no mutable state with any other cell. A shard is a
 // parallel execution slot — the set of cells one worker advances during a
 // window — and residency is pure scheduling: it decides which core runs a
-// cell's events, never what those events do. That split is what makes both
-// profile-guided placement and barrier-time migration safe: moving a cell
-// between shards moves a pointer, not state.
+// cell's events, never what those events do. That split is what makes the
+// shard count invisible in every output.
 //
 // Cells are joined only by Edges — explicit links with a positive minimum
 // delay, mirroring the topology graph's Wire nodes, whose delay is the
@@ -30,10 +29,10 @@
 // happen to share a shard. Sends enqueue (packet, arrival, dst) into the
 // edge's inbox ring; the coordinator drains every edge at every barrier in
 // name order and schedules the arrivals on the destination simulators.
-// Deferring uniformly is what makes placement invisible: the order in
+// Deferring uniformly is what makes the grouping invisible: the order in
 // which cross-cell arrivals obtain event sequence numbers depends only on
 // the (fixed) edge order and each edge's (deterministic, per-cell) FIFO
-// content, never on which shard a cell happened to reside on.
+// content, never on which shard a cell resides on.
 //
 // Ownership rules for the inbox rings: an Edge has exactly one producer
 // (events of its source cell, run by whichever worker owns that cell's
@@ -43,15 +42,4 @@
 // under the race detector. A packet pushed into an edge belongs to the
 // edge until the barrier delivers it; senders must not retain or release
 // it.
-//
-// Migration (Cluster.Migrate) re-homes a cell at a barrier, when no shard
-// goroutine is running: the cell's event heap changes executor and the
-// producer side of its edges changes with it, inside the same
-// happens-before edge every barrier already provides. The Rebalancer
-// drives migration from the Profiler's per-window load measurements —
-// observe the imbalance at a barrier, react in that same barrier — and
-// because placement is invisible, even a wall-clock-driven migration
-// schedule cannot perturb outputs. The shardown and barriermut analyzers
-// (internal/analysis) enforce the barrier-only discipline statically;
-// Cluster.Migrate's executor check enforces it at runtime.
 package shard

@@ -13,8 +13,8 @@ import (
 // the window's straggler. StallNS is the per-window sum of (slowest shard's
 // compute − own compute): the straggler itself stalls zero, and a large
 // spread is exactly the load imbalance that makes critical-path scaling
-// sub-linear (BENCH_shard.json's 3.5× at 8 shards under count-balanced
-// placement).
+// sub-linear (BENCH_shard.json's 3.5× at 8 shards under the count-balanced
+// split).
 type ShardLoad struct {
 	Shard     string `json:"shard"`
 	Events    uint64 `json:"events"`
@@ -24,7 +24,7 @@ type ShardLoad struct {
 
 // Profiler measures per-window per-shard load while a cluster runs. Event
 // counts come from the cells' deterministic Fired() deltas — tracked per
-// cell, so attribution follows a cell across migrations — and compute time
+// cell, so per-cell totals do not depend on the grouping — and compute time
 // comes from an injected monotonic clock, because internal/shard is a
 // deterministic package (detclock) and must not read wall time itself —
 // cmd-layer callers pass one, and a nil Clock yields an events-only (fully
@@ -33,7 +33,7 @@ type ShardLoad struct {
 // The profiler is driven from the cluster's barrier executor: the per-shard
 // compute brackets are written from the worker running that shard (distinct
 // indices, no sharing), and all event accounting happens between windows on
-// the coordinating goroutine, where residency is stable.
+// the coordinating goroutine.
 type Profiler struct {
 	// Clock returns monotonic elapsed time (e.g. time.Since(start) from a
 	// cmd). Nil disables compute/stall attribution.
@@ -50,16 +50,11 @@ type Profiler struct {
 	// publish mid-run snapshots.
 	OnWindow func(end sim.Time)
 
-	// Rebal, when non-nil, observes every window and may migrate cells at
-	// the barrier (see Rebalancer). Attach with AttachRebalancer.
-	Rebal *Rebalancer
-
 	c          *Cluster
 	loads      []ShardLoad
-	cellFired  []uint64 // per cell (cluster order): cumulative Fired at last barrier
-	cellEvents []uint64 // per cell: total events attributed so far
-	cellDelta  []uint64 // scratch: this window's per-cell events
-	shardDelta []uint64 // scratch: this window's per-shard events
+	cellFired  []uint64        // per cell (cluster order): cumulative Fired at last barrier
+	cellEvents []uint64        // per cell: total events attributed so far
+	shardDelta []uint64        // scratch: this window's per-shard events
 	compute    []time.Duration // scratch: this window's per-shard compute
 	windows    uint64
 	serial     time.Duration // sum over windows of sum of shard compute
@@ -76,7 +71,6 @@ func NewProfiler(c *Cluster) *Profiler {
 		shardDelta: make([]uint64, n),
 		cellFired:  make([]uint64, m),
 		cellEvents: make([]uint64, m),
-		cellDelta:  make([]uint64, m),
 	}
 	for i, sh := range c.shards {
 		p.loads[i].Shard = sh.name
@@ -104,8 +98,8 @@ func (p *Profiler) Wrap(do func(n int, fn func(i int))) func(n int, fn func(i in
 }
 
 // endWindow folds this window's per-cell events and per-shard compute into
-// totals, emits the per-window series, and gives the rebalancer its
-// barrier-time look. Runs on the coordinating goroutine between windows.
+// totals and emits the per-window series. Runs on the coordinating
+// goroutine between windows.
 func (p *Profiler) endWindow() {
 	p.windows++
 	var max time.Duration
@@ -115,9 +109,7 @@ func (p *Profiler) endWindow() {
 		}
 	}
 	p.critical += max
-	// Per-cell event deltas, attributed to the shard each cell resided on
-	// during the window (residency is stable in-window; Migrate runs after
-	// this accounting).
+	// Per-cell event deltas, attributed to each cell's shard.
 	for i := range p.shardDelta {
 		p.shardDelta[i] = 0
 	}
@@ -125,7 +117,6 @@ func (p *Profiler) endWindow() {
 		fired := cl.s.Fired()
 		d := fired - p.cellFired[ci]
 		p.cellFired[ci] = fired
-		p.cellDelta[ci] = d
 		p.cellEvents[ci] += d
 		p.shardDelta[cl.sh.idx] += d
 	}
@@ -151,23 +142,19 @@ func (p *Profiler) endWindow() {
 			}
 		}
 	}
-	if p.Rebal != nil {
-		p.Rebal.observe(p, end)
-	}
 	if p.OnWindow != nil {
 		p.OnWindow(end)
 	}
 }
 
 // Loads returns the accumulated per-shard profile in shard registration
-// order. Under migration a shard's row covers whatever cells resided on it
-// window by window.
+// order.
 func (p *Profiler) Loads() []ShardLoad { return p.loads }
 
 // CellEvents returns the exact cumulative event count of every cell, in
-// cluster cell registration order. Unlike Loads it is independent of both
-// grouping and migration, which makes it the canonical weight input for
-// profile-guided placement at any shard count.
+// cluster cell registration order. Unlike Loads it is independent of the
+// grouping, so the per-cell rows of a load profile are the same at any
+// shard count.
 func (p *Profiler) CellEvents() []uint64 { return p.cellEvents }
 
 // Windows returns how many windows the profiler observed.
@@ -179,7 +166,7 @@ func (p *Profiler) Serial() time.Duration { return p.serial }
 
 // Critical returns the critical path: the sum over windows of the slowest
 // shard's compute. Critical/Serial is the parallel efficiency ceiling the
-// placement imposes, independent of worker count.
+// grouping imposes, independent of worker count.
 func (p *Profiler) Critical() time.Duration { return p.critical }
 
 // RunProfiled is Cluster.Run with profiling: it advances the cluster to end

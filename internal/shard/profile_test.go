@@ -191,30 +191,3 @@ func TestProfilerStallIsImbalance(t *testing.T) {
 		t.Fatalf("serial %v, want %v", p.Serial(), time.Duration(w)*4*time.Millisecond)
 	}
 }
-
-// TestProfilerFollowsMigration pins per-shard attribution under migration:
-// after a cell moves, its window deltas accrue to the destination shard's
-// load row, while CellEvents keeps exact per-cell totals.
-func TestProfilerFollowsMigration(t *testing.T) {
-	c, heavy, _ := profiledCluster(t)
-	dst := c.Shards()[1]
-	p := NewProfiler(c)
-	// Move the heavy cell onto the light shard halfway through.
-	c.At(sim.Time(15*time.Millisecond), func() { c.Migrate(heavy, dst) })
-	c.RunProfiled(sim.Time(30*time.Millisecond), 2, p)
-
-	loads := p.Loads()
-	total := loads[0].Events + loads[1].Events
-	if total != c.Fired() {
-		t.Fatalf("per-shard events %d, want every fired event (%d) attributed", total, c.Fired())
-	}
-	// Pre-move windows land on shard "heavy", post-move on "light": both
-	// rows must have seen traffic.
-	if loads[0].Events == 0 || loads[1].Events <= 5 {
-		t.Fatalf("attribution did not follow the migration: %+v", loads)
-	}
-	ce := p.CellEvents()
-	if ce[0] != heavy.Sim().Fired() {
-		t.Fatalf("CellEvents[heavy] = %d, want %d regardless of residency", ce[0], heavy.Sim().Fired())
-	}
-}
